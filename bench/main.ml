@@ -197,9 +197,9 @@ let kernel_bench env ~name =
 
 (* Lazy-DFA fast path vs the NFA kernel, per workload: compile every
    rule at threshold 2 (the executor behind each NFA-mode placement),
-   keep the DFA-eligible subset (no BV-STEs, state count within the
-   mode-select budget — the same test [Mode_select.decide_exec]
-   applies), and step the same input through [Dfa.step] and [Nbva.step].
+   keep the subset [Dfa.create] accepts (no BV-STEs, at most 64 states —
+   the same test the engine applies), and step the same input through
+   [Dfa.step] and [Nbva.step].
    A lockstep pass first proves per-symbol bit-identity (hit AND packed
    activation vector), then warmed timing passes measure what the
    filled transition cache buys over the bit-parallel kernel. *)
@@ -211,14 +211,7 @@ let dfa_kernel_bench env ~name =
       (fun (_, ast) -> try Some (Nbva.compile ~threshold:2 ast) with Invalid_argument _ -> None)
       s.Benchmarks.regexes
   in
-  let budget = Program.default_params.Program.dfa_state_budget in
-  let eligible =
-    List.filter_map
-      (fun t ->
-        if Nbva.num_states t <= budget then Option.map (fun d -> (t, d)) (Dfa.create t)
-        else None)
-      automata
-  in
+  let eligible = List.filter_map (fun t -> Option.map (fun d -> (t, d)) (Dfa.create t)) automata in
   if eligible = [] then begin
     Printf.printf "%-14s dfa: no eligible automata (of %d)\n%!" name (List.length automata);
     ( Printf.sprintf

@@ -477,8 +477,7 @@ let batch_cmd =
   let group =
     Arg.(value & opt int Batch.default_group
          & info [ "group" ] ~docv:"K"
-             ~doc:"Streams interleaved per kernel pass; changes wall-clock only, never \
-                   results.")
+             ~doc:"Streams per scheduler task; changes wall-clock only, never results.")
   in
   let chunk =
     Arg.(value & opt int Input_stream.default_chunk
@@ -583,9 +582,8 @@ let batch_cmd =
     end
   in
   let doc =
-    "Run many independent input streams against one shared compiled placement, interleaving \
-     streams through the batched kernel; per-stream reports are bit-identical to solo \
-     $(b,rap simulate) runs."
+    "Run many independent input streams against one shared compiled placement; per-stream \
+     reports are bit-identical to solo $(b,rap simulate) runs."
   in
   Cmd.v (Cmd.info "batch" ~doc ~exits:common_exits)
     Term.(const run $ regexes_arg $ files $ manifest $ arch_arg $ jobs_arg $ intra_jobs_arg
@@ -815,8 +813,8 @@ let serve_cmd =
   let group =
     Arg.(value & opt int Batch.default_group
          & info [ "group" ] ~docv:"K"
-             ~doc:"Deadline-free requests interleaved per batched kernel pass; per-request \
-                   reports stay bit-identical to solo runs for every value.")
+             ~doc:"Deadline-free requests per batch scheduler task; per-request reports \
+                   stay bit-identical to solo runs for every value.")
   in
   let retries =
     Arg.(value & opt int Admission.default_config.Admission.retries

@@ -31,13 +31,7 @@ let guard t =
 
 let guards_ok t = List.for_all (fun off -> t.words.(off) = canary off) t.guards
 
-let failed_guard t = List.find_opt (fun off -> t.words.(off) <> canary off) t.guards
-
 let rearm_guards t = List.iter (fun off -> t.words.(off) <- canary off) t.guards
-
-let clear t =
-  Array.fill t.words 0 t.used 0;
-  rearm_guards t
 
 let snapshot t = Array.sub t.words 0 t.used
 

@@ -32,10 +32,6 @@ val words : t -> int array
 (** The backing array itself, for flat kernels that index word ranges
     directly.  Callers must stay within ranges they allocated. *)
 
-val clear : t -> unit
-(** Zero every allocated word (offsets remain allocated); guard words
-    keep their canary values. *)
-
 (** {1 Guard words}
 
     A guard is one allocated word holding an offset-dependent canary.
@@ -50,9 +46,6 @@ val guard : t -> unit
 
 val guards_ok : t -> bool
 (** [true] iff every guard word still holds its canary. *)
-
-val failed_guard : t -> int option
-(** Offset of the first corrupted guard word, for diagnostics. *)
 
 val rearm_guards : t -> unit
 (** Rewrite every guard word's canary.  A flat snapshot taken before a

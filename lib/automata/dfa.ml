@@ -49,8 +49,14 @@ type run = {
 
 let default_cache_states = 512
 
+(* Eligibility is the per-pattern DFA-vs-NFA choice of arXiv 2210.10077,
+   judged on the automaton alone: small NFAs determinise without blowup
+   and win on per-symbol work; large ones risk subset blowup and would
+   thrash the bounded cache. *)
+let state_budget = 64
+
 let create ?max_states ?(max_flushes = 4) nbva =
-  if Nbva.num_bv_stes nbva > 0 then None
+  if Nbva.num_bv_stes nbva > 0 || Nbva.num_states nbva > state_budget then None
   else
     let max_states =
       match Sys.getenv_opt "RAP_DFA_CACHE" with

@@ -17,7 +17,8 @@
     and {!step} degrades permanently to {!Nbva.step} (the transparent
     NFA fallback).  Only automata with no BV-STEs are eligible — a BV
     vector is per-run mutable state, not a function of the active set,
-    so it cannot be folded into a subset-construction state.
+    so it cannot be folded into a subset-construction state — and only
+    small ones (see {!create}).
 
     Everything here is {e derived} state: it is never snapshotted or
     checkpointed, and a {!run} whose engine activation words were
@@ -32,12 +33,14 @@ type t
 type run
 (** A stream's cursor into the cache, attached to its {!Nbva.run_state}. *)
 
-val default_cache_states : int
-(** Default [max_states] bound (512). *)
-
 val create : ?max_states:int -> ?max_flushes:int -> Nbva.t -> t option
-(** [None] when the automaton carries BV-STEs (ineligible).  The
-    [RAP_DFA_CACHE] environment variable overrides [max_states] (clamped
+(** [None] when the automaton is ineligible: it carries BV-STEs, or it
+    has more than 64 states (large NFAs risk subset blowup and would
+    thrash the bounded cache — the per-pattern DFA-vs-NFA choice of
+    arXiv 2210.10077).  This is the simulator's whole stepper rule:
+    [Engine] runs the lazy DFA exactly when [create] accepts.
+    [max_states] (default 512) bounds the cached DFA states; the
+    [RAP_DFA_CACHE] environment variable overrides it (clamped
     to at least 2) — the CI cache-pressure smoke uses this to force
     eviction and fallback on real workloads. *)
 

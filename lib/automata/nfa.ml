@@ -52,7 +52,6 @@ type run = { match_ends : int list; active_per_step : int array }
    snapshot is one blit, and a caller can pack many steppers into one
    shared pool via [?arena]. *)
 type stepper = {
-  st_arena : Arena.t;
   st_active : Bitvec.t;
   st_next : Bitvec.t;
   st_anchored : bool;
@@ -68,15 +67,12 @@ let stepper ?(anchored_start = false) ?arena t =
     match arena with Some a -> a | None -> Arena.create ~capacity:(stepper_words t)
   in
   {
-    st_arena = arena;
     st_active = Bitvec.alloc_in arena n;
     st_next = Bitvec.alloc_in arena n;
     st_anchored = anchored_start;
     st_pos = 0;
     st_count = 0;
   }
-
-let stepper_arena s = s.st_arena
 
 let stepper_step t s c =
   let n = num_states t in
@@ -99,8 +95,6 @@ let stepper_step t s c =
   s.st_pos <- s.st_pos + 1;
   s.st_count <- !count;
   !hit
-
-let stepper_active_count s = s.st_count
 
 let run ?anchored_start t input =
   let s = stepper ?anchored_start t in

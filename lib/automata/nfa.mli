@@ -62,14 +62,8 @@ val stepper : ?anchored_start:bool -> ?arena:Arena.t -> t -> stepper
     ([stepper_words t] words), else from a private pool — either way a
     contiguous word range, cloneable with one blit. *)
 
-val stepper_arena : stepper -> Arena.t
-(** The arena holding this stepper's packed state sets. *)
-
 val stepper_step : t -> stepper -> char -> bool
 (** Consume one symbol; [true] when a match ends on it. *)
-
-val stepper_active_count : stepper -> int
-(** Active states after the last {!stepper_step}. *)
 
 val match_ends : ?anchored_start:bool -> t -> string -> int list
 val count_matches : ?anchored_start:bool -> t -> string -> int

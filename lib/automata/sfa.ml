@@ -56,8 +56,6 @@ let start tbl =
   let n = dim tbl in
   { tbl; rows = Array.init n (fun q -> 1 lsl q); live = n }
 
-let frozen x = x.live = 0
-
 let feed x c =
   if x.live > 0 then begin
     let b = Char.code c in

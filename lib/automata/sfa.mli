@@ -54,10 +54,6 @@ val feed : xfer -> char -> unit
     the inject part lives in [b]).  O(live rows) word ops; a matrix
     whose rows have all died is skipped entirely. *)
 
-val frozen : xfer -> bool
-(** [true] when every row is zero: the chunk's output no longer depends
-    on its input state, so {!apply} degenerates to [b]. *)
-
 val apply : xfer -> b:int -> int -> int
 (** [apply x ~b state_in] is [b ∨ ⋁_{q ∈ state_in} rows\[q\]] — the
     state after the chunk given the state before it, where [b] is the

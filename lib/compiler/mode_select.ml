@@ -10,33 +10,14 @@ let decide ~(params : Program.params) r =
     | Some _ -> Lnfa_mode
     | None -> Nfa_mode
 
-(* DFA eligibility (the per-pattern DFA/NFA cost model of arXiv
-   2210.10077): determinising pays off exactly when the execution
-   automaton the engine will actually run — compiled at the engine's own
-   unfold threshold, which differs from the mode-decision threshold — is
-   small and carries no BV-STEs.  BV vectors are per-run mutable state,
-   not a function of the active set, so counter-carrying placements can
-   never determinise; large NFAs risk subset blowup and would thrash the
-   bounded cache.  The hint is advisory: the engine re-checks structural
-   eligibility against the automaton it builds. *)
-let decide_exec ~(params : Program.params) r =
-  match Nbva.compile ~threshold:2 r with
-  | exec ->
-      if Nbva.num_bv_stes exec = 0 && Nbva.num_states exec <= params.Program.dfa_state_budget
-      then Program.H_dfa { dfa_cache_states = params.Program.dfa_cache_states }
-      else Program.H_default
-  | exception Invalid_argument _ -> Program.H_default
-
 let compile_as mode ~params ~source r =
-  let hint = decide_exec ~params r in
   match mode with
-  | Nfa_mode ->
-      Some { Program.source; ast = r; kind = Program.U_nfa (Nfa_compile.compile r); hint }
+  | Nfa_mode -> Some { Program.source; ast = r; kind = Program.U_nfa (Nfa_compile.compile r) }
   | Nbva_mode ->
-      Some { Program.source; ast = r; kind = Program.U_nbva (Nbva_compile.compile ~params r); hint }
+      Some { Program.source; ast = r; kind = Program.U_nbva (Nbva_compile.compile ~params r) }
   | Lnfa_mode ->
       Option.map
-        (fun u -> { Program.source; ast = r; kind = Program.U_lnfa u; hint })
+        (fun u -> { Program.source; ast = r; kind = Program.U_lnfa u })
         (Lnfa_compile.try_compile ~params r)
 
 let compile ~params ~source r =

@@ -17,13 +17,6 @@ type mode = Nfa_mode | Nbva_mode | Lnfa_mode
 val mode_names : mode -> string
 val decide : params:Program.params -> Ast.t -> mode
 
-val decide_exec : params:Program.params -> Ast.t -> Program.exec_hint
-(** Software-stepper cost model (orthogonal to the hardware mode): picks
-    the lazy-DFA fast path when the execution automaton the simulator
-    will run has no BV-STEs and at most [params.dfa_state_budget] states
-    — the per-pattern DFA-vs-NFA decision of arXiv 2210.10077.  Every
-    {!compile_as} result carries its verdict as [compiled.hint]. *)
-
 val compile : params:Program.params -> source:string -> Ast.t -> Program.compiled
 (** Decide, then compile with the matching backend. *)
 

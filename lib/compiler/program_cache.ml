@@ -13,9 +13,12 @@ let magic = "RAPPROG"
    stable, and probing a foreign-version artifact with it risks a
    crash rather than a clean [Invalid].
    v4: [Program.compiled] grew the [hint] execution-strategy field and
-   [Program.params] grew the DFA budgets ([dfa_state_budget],
-   [dfa_cache_states]). *)
-let version = 4
+   [Program.params] grew two lazy-DFA budgets (automaton states, cached
+   DFA states).
+   v5: both went again — the engine picks its stepper from the
+   automaton alone, so [Program.compiled] lost [hint] and
+   [Program.params] lost the two budgets. *)
+let version = 5
 
 type entry = {
   e_key : string;

@@ -359,17 +359,16 @@ let run_solo t req =
           if healed && report.Runner.degraded = [] then { o with o_recovered = true } else o
       | Error e -> outcome_of_error req ~started_at ~finished_at e)
 
-(* Batched run of deadline-free requests: one shared placement, streams
-   interleaved [group] at a time through the phase-major kernel.  Each
-   stream's report is bit-identical to its solo run (the PR 5
-   contract), so batching is invisible in the results — it only buys
-   aggregate throughput.  A failing batch falls back to solo runs so
+(* Batched run of deadline-free requests: one shared placement, [group]
+   streams per scheduler task.  Each stream's report is bit-identical to
+   its solo run (the batch layer's contract), so batching is invisible
+   in the results — it only buys aggregate throughput.  A failing batch falls back to solo runs so
    one faulty stream cannot take its groupmates down. *)
 let run_batched t reqs =
   match reqs with
   | [] -> []
   | [ one ] -> [ run_solo t one ]
-  (* the batched kernel has no integrity hooks: with checking armed,
+  (* the batch path has no integrity hooks: with checking armed,
      every request takes the (checked) solo path — coverage over
      aggregate throughput *)
   | _ when t.cfg.integrity <> None -> List.map (run_solo t) reqs
@@ -402,7 +401,7 @@ let run_pending ?max t =
   else begin
     let popped = List.init n (fun _ -> Queue.pop t.queue) in
     let t0 = Unix.gettimeofday () in
-    (* deadline-free requests ride the batched kernel together;
+    (* deadline-free requests ride one batch together;
        deadline-carrying ones run solo so one slow groupmate cannot eat
        another request's budget *)
     let batched, solo = List.partition (fun r -> r.p_deadline_s = None) popped in

@@ -298,8 +298,6 @@ type reader = {
 let create_reader ?(max_frame = default_max_frame) () =
   { max_frame; buf = Bytes.create 4096; lo = 0; hi = 0 }
 
-let reader_buffered r = r.hi - r.lo
-
 let reader_feed r src n =
   if n > 0 then begin
     if r.hi + n > Bytes.length r.buf then begin

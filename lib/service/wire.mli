@@ -28,7 +28,7 @@
 type class_ = Interactive | Bulk
 (** Stream classes — the SLO buckets the daemon reports latency
     quantiles for.  [Interactive] requests carry deadlines and bypass
-    batching; [Bulk] requests are grouped through the batched kernel. *)
+    batching; [Bulk] requests are grouped through one batch run. *)
 
 val class_name : class_ -> string
 val class_of_string : string -> (class_, string) result
@@ -118,7 +118,3 @@ val reader_next : reader -> (string option, string) result
     (the connection should be dropped — resynchronisation is
     impossible). *)
 
-val reader_buffered : reader -> int
-(** Bytes currently buffered — the admission layer's input-bound check
-    consults this so an over-limit stream is cut off while arriving,
-    not after being fully buffered. *)

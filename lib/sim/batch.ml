@@ -20,91 +20,36 @@ type t = { streams : stream_report array; aggregate : aggregate }
 
 let default_group = 4
 
-(* One member of a task: a stream-clone of the array context plus a
-   chunk cursor over its own view of the input. *)
+(* One member of a task: a stream-clone of the array context and its
+   own view of the input. *)
 type member = {
   m_stream : int;  (* index into [sources] *)
   m_exec : Exec.t;
   m_input : Input_stream.t;
-  mutable m_chunk : string;
-  mutable m_off : int;  (* next unread byte within [m_chunk] *)
-  mutable m_base : int;  (* absolute input offset of [m_chunk]'s start *)
-  m_sinks : Sink.t list;
+  m_sink : Sink.t;
   mutable m_cycles : int;
   mutable m_reports : int;
 }
 
-(* Pull chunks until the cursor has an unread byte; false at end of
-   input (Input_stream chunks are nonempty). *)
-let refill m =
-  if m.m_off < String.length m.m_chunk then true
-  else
-    match Input_stream.next m.m_input with
-    | None -> false
-    | Some chunk ->
-        m.m_base <- m.m_base + String.length m.m_chunk;
-        m.m_chunk <- chunk;
-        m.m_off <- 0;
-        true
-
-(* Lockstep loop over the live members: every pass packs the survivors
-   into one Exec.group (engine-major, so NBVA mask tables are shared
-   across streams in cache) and steps until some member exhausts its
-   current chunk; members that exhaust their stream drop out and the
-   group shrinks.  Per-member event consumption is identical to
-   Runner.run_stream's per-symbol accounting, in symbol order — the
-   per-stream bit-identity contract. *)
-let run_task arch members =
-  let cs = Array.make (Array.length members) '\000' in
-  let syms = Array.make (Array.length members) 0 in
-  let rec loop members =
-    let live = Array.of_list (List.filter refill (Array.to_list members)) in
-    if Array.length live > 0 then begin
-      let grp = Exec.group_of_members (Array.map (fun m -> m.m_exec) live) in
-      let span =
-        Array.fold_left (fun acc m -> min acc (String.length m.m_chunk - m.m_off)) max_int live
-      in
-      for _ = 1 to span do
-        Array.iteri
-          (fun i m ->
-            cs.(i) <- m.m_chunk.[m.m_off];
-            syms.(i) <- m.m_base + m.m_off)
-          live;
-        let evs = Exec.group_step arch grp ~syms cs in
-        Array.iteri
-          (fun i m ->
-            let ev = evs.(i) in
-            m.m_cycles <- m.m_cycles + 1 + ev.Exec.stall;
-            m.m_reports <- m.m_reports + ev.Exec.reports;
-            List.iter (fun (s : Sink.t) -> s.Sink.on_events ev) m.m_sinks;
-            m.m_off <- m.m_off + 1)
-          live
-      done;
-      loop live
-    end
-  in
-  loop members
-
-(* Single-member task with intra-stream parallelism: no group to
-   interleave, so the stream's own chunks are split and composed through
-   Exec.run_chunks instead.  Event consumption (and therefore the
-   per-stream accounting) is the same code path as [run_task]'s. *)
-let run_task_intra ~intra_jobs arch m =
-  let base = ref 0 in
-  let rec loop () =
+(* Run one member's stream to exhaustion, chunk by chunk, through
+   Exec.run_chunks — serial stepping at [intra_jobs] 1, Simultaneous-FA
+   chunk composition above it.  Event consumption is Runner.run_stream's
+   per-symbol accounting, in symbol order: the per-stream bit-identity
+   contract. *)
+let run_member ~intra_jobs arch m =
+  let rec loop base =
     match Input_stream.next m.m_input with
     | None -> ()
     | Some chunk ->
-        Exec.run_chunks ~jobs:intra_jobs arch m.m_exec ~base:!base
+        Exec.run_chunks ~jobs:intra_jobs arch m.m_exec ~base
           ~chunks:(Runner.sub_split chunk intra_jobs)
           ~emit:(fun ev ->
             m.m_cycles <- m.m_cycles + 1 + ev.Exec.stall;
             m.m_reports <- m.m_reports + ev.Exec.reports;
-            List.iter (fun (s : Sink.t) -> s.Sink.on_events ev) m.m_sinks);
-        base := !base + String.length chunk;
-        loop ()
+            m.m_sink.Sink.on_events ev);
+        loop (base + String.length chunk)
   in
-  loop ()
+  loop 0
 
 let run ?(jobs = 1) ?(intra_jobs = 1) ?(group = default_group) ?done_stamps (arch : Arch.t)
     ~params (p : Mapper.placement) ~sources =
@@ -160,20 +105,19 @@ let run ?(jobs = 1) ?(intra_jobs = 1) ?(group = default_group) ?done_stamps (arc
             m_stream = s;
             m_exec = Exec.clone_fresh templates.(ai);
             m_input = sources.(s).src_open ();
-            m_chunk = "";
-            m_off = 0;
-            m_base = 0;
-            m_sinks = [ insts.(s).(ai) ];
+            m_sink = insts.(s).(ai);
             m_cycles = 0;
             m_reports = 0;
           })
     in
+    (* a single-member task splits its own stream across [intra_jobs];
+       a multi-member task already fills its domain with whole streams *)
+    let intra_jobs =
+      if intra_jobs > 1 && k = 1 && Scheduler.available_parallelism () > 1 then intra_jobs else 1
+    in
     Fun.protect
       ~finally:(fun () -> Array.iter (fun m -> Input_stream.close m.m_input) members)
-      (fun () ->
-        if intra_jobs > 1 && k = 1 && Scheduler.available_parallelism () > 1 then
-          run_task_intra ~intra_jobs arch members.(0)
-        else run_task arch members);
+      (fun () -> Array.iter (run_member ~intra_jobs arch) members);
     Array.iter
       (fun m ->
         cycles_slots.(m.m_stream).(ai) <- m.m_cycles;

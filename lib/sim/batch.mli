@@ -6,12 +6,11 @@
     here reuses the template {!Exec.t} per array through
     {!Exec.clone_fresh} (compilation, mapping and the bit-parallel mask
     tables are paid once — or never, with the placement cache), and
-    streams are interleaved K at a time per kernel pass
-    ({!Exec.group_step} → {!Nbva.step_multi}) so the per-byte labels
-    table and successor-mask unions stay cache-resident while serving
-    the whole group.
+    each stream then runs through the same per-stream loop as a solo
+    run ({!Exec.run_chunks}).
 
-    Scheduling: the (stream-group × array) task grid is flattened into
+    Scheduling: streams are grouped [group] at a time into scheduler
+    tasks, and the (stream-group × array) task grid is flattened into
     one {!Scheduler.parallel_for} work list, so jobs stay saturated even
     when stream lengths are skewed — a long stream's remaining tasks
     share the domains with everyone else's instead of serializing behind
@@ -50,7 +49,7 @@ type aggregate = {
 type t = { streams : stream_report array; aggregate : aggregate }
 
 val default_group : int
-(** Streams interleaved per kernel pass (4). *)
+(** Streams per scheduler task (4). *)
 
 val run :
   ?jobs:int ->
@@ -63,13 +62,13 @@ val run :
   sources:source array ->
   t
 (** Run every source to exhaustion.  [jobs] bounds the worker domains
-    (default 1); [group] the streams interleaved per kernel pass.
-    [intra_jobs] (default 1) applies Simultaneous-FA intra-stream
-    composition ({!Exec.run_chunks}) to tasks with a single member —
-    when the batch is too small to fill the machine with whole-stream
-    tasks, the streams themselves are split; reports stay bit-identical.
-    Multi-member tasks already interleave streams and keep the lockstep
-    kernel.
+    (default 1); [group] the streams per scheduler task, which a task
+    runs one after another.  [intra_jobs] (default 1) applies
+    Simultaneous-FA intra-stream composition ({!Exec.run_chunks}) to
+    tasks with a single member — when the batch is too small to fill
+    the machine with whole-stream tasks, the streams themselves are
+    split; reports stay bit-identical.  Multi-member tasks already fill
+    their domain with whole streams and step each one serially.
     [done_stamps] (length >= streams) receives, per stream, the
     wall-clock instant its last (group x array) task retired — the
     match service's per-request finish timestamp; streams in the same

@@ -32,72 +32,80 @@ let stats_reset s =
   s.reports <- 0
 
 (* ------------------------------------------------------------------ *)
-(* Per-placement stepper specialization.  Each NBVA-backed engine picks,
-   at construction, the cheapest kernel that is bit-identical on its
-   automaton:
-   - [S_dfa]: lazy-DFA transition cache (compiler hint [H_dfa]; only for
-     automata with no BV-STEs) — the cached path is one table load plus
-     an activation-word blit per symbol.
-   - [S_word]: single-word kernel over the bare [word_tables] masks —
-     skips the BV phase and the flat-table indirection entirely.
-   - [S_general]: the flat bit-parallel kernel (always correct).
-   The choice is execution strategy only: activation words, hits,
-   projections, digests and checkpoints are identical across steppers,
-   and the [Reference] kernel selector overrides all of them (the
-   differential suites exercise exactly that equivalence). *)
+(* The stepper rule.  An NBVA-backed engine runs the lazy DFA ([S_dfa])
+   exactly when [Dfa.create] accepts its automaton (no BV-STEs, at most
+   64 states), and the general bit-parallel kernel ([S_general])
+   otherwise — the choice follows from the automaton alone.  It is
+   execution strategy only: activation words, hits, projections,
+   digests and checkpoints are identical across steppers, and the
+   [Reference] kernel selector overrides both (the differential suites
+   exercise exactly that equivalence). *)
 
-type stepper = S_general | S_word of Nbva.word_tables | S_dfa of Dfa.run
+type stepper = S_general | S_dfa of Dfa.run
 
-let make_stepper hint exec st =
-  let word_or_general () =
-    match Nbva.word_tables exec with Some wt -> S_word wt | None -> S_general
-  in
-  match hint with
-  | Program.H_dfa { dfa_cache_states } when Nbva.num_bv_stes exec = 0 -> (
-      match Dfa.create ~max_states:dfa_cache_states exec with
-      | Some d -> S_dfa (Dfa.attach d st)
-      | None -> word_or_general ())
-  | Program.H_dfa _ | Program.H_default -> word_or_general ()
+let make_stepper nbva st =
+  match Dfa.create nbva with Some d -> S_dfa (Dfa.attach d st) | None -> S_general
 
-(* One stream, one symbol, through the specialized path — bit-identical
-   to [Nbva.step_selected] on every stepper. *)
 let advance stepper nbva st c =
   match !Nbva.kernel with
   | Nbva.Reference -> Nbva.step_reference nbva st c
   | Nbva.Bit_parallel -> (
-      match stepper with
-      | S_general -> Nbva.step nbva st c
-      | S_word wt -> Nbva.step_word wt st c
-      | S_dfa r -> Dfa.step r c)
-
-let reset_stepper = function
-  | S_dfa r ->
-      Dfa.reset (Dfa.cache r);
-      Dfa.invalidate r
-  | S_general | S_word _ -> ()
+      match stepper with S_general -> Nbva.step nbva st c | S_dfa r -> Dfa.step r c)
 
 (* ------------------------------------------------------------------ *)
-(* NFA units: compressed executor over the equivalent NBVA.            *)
+(* NBVA-backed engines.  NBVA units run their own automaton; NFA units
+   run a compressed executor over the equivalent NBVA (the unfolded
+   chain of a bounded repetition is bit-for-bit the vector of the BV-STE
+   that replaces it).  Both share this record: the automaton, its run
+   state and stepper, and a tile projection table that maps the
+   executor's post-step state back onto the unit's tiles — the only
+   thing in which the two kinds differ. *)
 
-type nfa_engine = {
-  u : Program.nfa_unit;
-  exec : Nbva.t;
-  exec_st : Nbva.run_state;
-  offsets : int array;  (* exec state -> first unfolded Glushkov position *)
-  (* cross-edge sources, pre-resolved to (exec state, bit or -1 for plain) *)
-  cross_sources : (int * int) array;
-  plain_tile_masks : Bitvec.t array;  (* per tile: Plain exec states mapped there *)
-  bv_bit_tiles : (int * int array) array;  (* BV exec state, per-bit tile *)
-  static_cols : int array;
-  n_stats : events;
-  n_hint : Program.exec_hint;
-  n_stepper : stepper;  (* bound to [exec_st]; clones rebuild it *)
+type nbva_engine = {
+  mode : mode;  (* [M_nfa] or [M_nbva] *)
+  nbva : Nbva.t;
+  st : Nbva.run_state;
+  stepper : stepper;  (* bound to [st]; clones rebuild it *)
+  stats : events;
+  tile_masks : Bitvec.t array;  (* per tile: states whose output bit is active there *)
+  bv_bit_tiles : (int * int array) array;
+      (* NFA: BV exec state and the tile of each vector bit (an unfolded
+         chain state per bit) *)
+  bv_trigger_tiles : (int * int) array;
+      (* NBVA: BV state and the tile entering bit-vector processing while
+         its vector is nonzero *)
+  cross_states : int array;  (* cross-edge sources ... *)
+  cross_bits : int array;  (* ... fired by their output bit (-1) or a vector bit *)
+  enabled_cols : int array;  (* columns searched every symbol, per tile *)
+  bv_cols : int array;
+  max_bv : int;
+  depth : int;
 }
+
+let make_nbva_core ~mode nbva ~tile_masks ~bv_bit_tiles ~bv_trigger_tiles ~cross
+    ~enabled_cols ~bv_cols ~max_bv ~depth =
+  let st = Nbva.start nbva in
+  {
+    mode;
+    nbva;
+    st;
+    stepper = make_stepper nbva st;
+    stats = stats_create (Array.length tile_masks);
+    tile_masks;
+    bv_bit_tiles;
+    bv_trigger_tiles;
+    cross_states = Array.map fst cross;
+    cross_bits = Array.map snd cross;
+    enabled_cols;
+    bv_cols;
+    max_bv;
+    depth;
+  }
 
 (* Unfolded width of one exec state. *)
 let exec_width ste = match ste with Nbva.Plain _ -> 1 | Nbva.Bv { size; _ } -> size
 
-let make_nfa_engine ~ast ~hint (u : Program.nfa_unit) =
+let make_nfa_engine ~ast (u : Program.nfa_unit) =
   (* threshold 2 gives maximal compression; the rewriting preserves the
      left-to-right order of unfolded positions, so prefix sums of widths
      recover each state's position range. *)
@@ -122,7 +130,6 @@ let make_nfa_engine ~ast ~hint (u : Program.nfa_unit) =
     | Nbva.Plain _ -> (q, -1)
     | Nbva.Bv _ -> (q, pos - offsets.(q))
   in
-  let cross_sources = Array.of_list (List.map (fun (p, _) -> resolve p) u.Program.cross_edges) in
   let ntiles = Array.length u.Program.tile_states in
   let tile_of = u.Program.tile_of_state in
   (* per-tile masks over exec states (Plain only: a BV exec state stands
@@ -136,80 +143,15 @@ let make_nfa_engine ~ast ~hint (u : Program.nfa_unit) =
       | Nbva.Bv { size; _ } ->
           bv_bit_tiles := (q, Array.init size (fun bit -> tile_of.(offsets.(q) + bit))) :: !bv_bit_tiles)
     exec.Nbva.stes;
-  let exec_st = Nbva.start exec in
-  {
-    u;
-    exec;
-    exec_st;
-    offsets;
-    cross_sources;
-    plain_tile_masks;
-    bv_bit_tiles = Array.of_list (List.rev !bv_bit_tiles);
-    static_cols = u.Program.tile_cols;
-    n_stats = stats_create ntiles;
-    n_hint = hint;
-    n_stepper = make_stepper hint exec exec_st;
-  }
+  (* all programmed CC columns are enabled in NFA mode; NFA tiles host
+     no BV storage *)
+  make_nbva_core ~mode:M_nfa exec ~tile_masks:plain_tile_masks
+    ~bv_bit_tiles:(Array.of_list (List.rev !bv_bit_tiles))
+    ~bv_trigger_tiles:[||]
+    ~cross:(Array.of_list (List.map (fun (p, _) -> resolve p) u.Program.cross_edges))
+    ~enabled_cols:u.Program.tile_cols ~bv_cols:(Array.make ntiles 0) ~max_bv:0 ~depth:0
 
-(* Projection: refresh the stats record from the executor's post-step
-   state.  Split from the automaton advance so batched stepping can
-   advance K stream-clones phase-major ({!Nbva.step_multi}) and then
-   project each one — the projection reads only this engine's state, so
-   it is the same computation either way. *)
-let nfa_project (e : nfa_engine) =
-  let s = e.n_stats in
-  stats_reset s;
-  let act = Nbva.outputs e.exec_st and vecs = Nbva.vectors e.exec_st in
-  (* Plain activity per tile: one mask AND + popcount per tile *)
-  for t = 0 to Array.length s.active - 1 do
-    s.active.(t) <- Bitvec.popcount_and act e.plain_tile_masks.(t)
-  done;
-  Array.iter
-    (fun (q, bit_tiles) ->
-      match vecs.(q) with
-      | Some v ->
-          if not (Bitvec.is_zero v) then
-            Bitvec.iter_set
-              (fun bit ->
-                let t = bit_tiles.(bit) in
-                s.active.(t) <- s.active.(t) + 1)
-              v
-      | None -> assert false)
-    e.bv_bit_tiles;
-  (* all programmed CC columns are enabled in NFA mode *)
-  Array.iteri (fun t cols -> s.enabled.(t) <- cols) e.static_cols;
-  Array.iter
-    (fun (q, bit) ->
-      let fired =
-        if bit < 0 then Bitvec.get act q
-        else match vecs.(q) with Some v -> Bitvec.get v bit | None -> false
-      in
-      if fired then s.cross <- s.cross + 1)
-    e.cross_sources;
-  s.reports <- Nbva.reports e.exec e.exec_st
-
-let nfa_step (e : nfa_engine) c =
-  ignore (advance e.n_stepper e.exec e.exec_st c);
-  nfa_project e
-
-(* ------------------------------------------------------------------ *)
-(* NBVA units: direct execution with tile projection.                  *)
-
-type nbva_engine = {
-  nu : Program.nbva_unit;
-  nb_st : Nbva.run_state;
-  nb_tile_masks : Bitvec.t array;  (* per tile: its STEs as a mask over states *)
-  nb_bv_list : (int * int) array;  (* dense (BV state, tile) pairs *)
-  nb_cross_sources : int array;
-  nb_static_cols : int array;
-  nb_bv_cols : int array;
-  nb_max_bv : int;
-  nb_stats : events;
-  nb_hint : Program.exec_hint;
-  nb_stepper : stepper;  (* bound to [nb_st]; clones rebuild it *)
-}
-
-let make_nbva_engine ~hint (nu : Program.nbva_unit) =
+let make_nbva_engine (nu : Program.nbva_unit) =
   let ntiles = Array.length nu.Program.ntiles in
   let n = Nbva.num_states nu.Program.nbva in
   let bv_tile = Array.make n (-1) in
@@ -217,11 +159,6 @@ let make_nbva_engine ~hint (nu : Program.nbva_unit) =
     (fun t (tile : Program.nbva_tile) ->
       List.iter (fun (a : Program.bv_alloc) -> bv_tile.(a.Program.ste) <- t) tile.Program.bvs)
     nu.Program.ntiles;
-  let static_cols =
-    Array.map
-      (fun (t : Program.nbva_tile) -> t.Program.cc_cols + t.Program.set1_cols + t.Program.bv_cols)
-      nu.Program.ntiles
-  in
   (* BV storage columns: sum of allocation widths (equals [bv_cols] on
      RAP; covers BVAP, whose BVM columns are not CAM columns) *)
   let bv_cols =
@@ -245,48 +182,52 @@ let make_nbva_engine ~hint (nu : Program.nbva_unit) =
       | Nbva.Bv _ -> bv_list := (q, bv_tile.(q)) :: !bv_list
       | Nbva.Plain _ -> ())
     nu.Program.nbva.Nbva.stes;
-  let nb_st = Nbva.start nu.Program.nbva in
-  {
-    nu;
-    nb_st;
-    nb_tile_masks = tile_masks;
-    nb_bv_list = Array.of_list (List.rev !bv_list);
-    nb_cross_sources = Array.of_list (List.map fst nu.Program.cross_edges);
-    nb_static_cols = static_cols;
-    nb_bv_cols = bv_cols;
-    nb_max_bv = max_bv;
-    nb_stats = stats_create ntiles;
-    nb_hint = hint;
-    nb_stepper = make_stepper hint nu.Program.nbva nb_st;
-  }
-
-let nbva_project (e : nbva_engine) =
-  let s = e.nb_stats in
-  stats_reset s;
-  let nbva = e.nu.Program.nbva in
-  let act = Nbva.outputs e.nb_st and vecs = Nbva.vectors e.nb_st in
-  for t = 0 to Array.length s.active - 1 do
-    s.active.(t) <- Bitvec.popcount_and act e.nb_tile_masks.(t)
-  done;
-  Array.iter
-    (fun (q, t) ->
-      match vecs.(q) with
-      | Some v when not (Bitvec.is_zero v) -> s.triggered.(t) <- true
-      | Some _ | None -> ())
-    e.nb_bv_list;
   (* only CC columns are searched every symbol; BV columns activate in the
      processing phase *)
-  Array.iteri
-    (fun t (tile : Program.nbva_tile) -> s.enabled.(t) <- tile.Program.cc_cols)
-    e.nu.Program.ntiles;
-  Array.iter
-    (fun p -> if Bitvec.get act p then s.cross <- s.cross + 1)
-    e.nb_cross_sources;
-  s.reports <- Nbva.reports nbva e.nb_st
+  make_nbva_core ~mode:M_nbva nu.Program.nbva ~tile_masks ~bv_bit_tiles:[||]
+    ~bv_trigger_tiles:(Array.of_list (List.rev !bv_list))
+    ~cross:(Array.of_list (List.map (fun (p, _) -> (p, -1)) nu.Program.cross_edges))
+    ~enabled_cols:(Array.map (fun (t : Program.nbva_tile) -> t.Program.cc_cols) nu.Program.ntiles)
+    ~bv_cols ~max_bv ~depth:nu.Program.depth
 
-let nbva_step (e : nbva_engine) c =
-  ignore (advance e.nb_stepper e.nu.Program.nbva e.nb_st c);
-  nbva_project e
+(* Projection: refresh the stats record from the executor's post-step
+   state.  Split from the automaton advance ([step_kernel] skips it);
+   it reads only this engine's state. *)
+let nbva_project (e : nbva_engine) =
+  let s = e.stats in
+  stats_reset s;
+  let act = Nbva.outputs e.st and vecs = Nbva.vectors e.st in
+  for t = 0 to Array.length s.active - 1 do
+    s.active.(t) <- Bitvec.popcount_and act e.tile_masks.(t)
+  done;
+  for i = 0 to Array.length e.bv_bit_tiles - 1 do
+    let q, bit_tiles = e.bv_bit_tiles.(i) in
+    match vecs.(q) with
+    | Some v ->
+        if not (Bitvec.is_zero v) then
+          Bitvec.iter_set
+            (fun bit ->
+              let t = bit_tiles.(bit) in
+              s.active.(t) <- s.active.(t) + 1)
+            v
+    | None -> assert false
+  done;
+  for i = 0 to Array.length e.bv_trigger_tiles - 1 do
+    let q, t = e.bv_trigger_tiles.(i) in
+    match vecs.(q) with
+    | Some v when not (Bitvec.is_zero v) -> s.triggered.(t) <- true
+    | Some _ | None -> ()
+  done;
+  Array.blit e.enabled_cols 0 s.enabled 0 (Array.length e.enabled_cols);
+  for i = 0 to Array.length e.cross_states - 1 do
+    let q = e.cross_states.(i) and bit = e.cross_bits.(i) in
+    let fired =
+      if bit < 0 then Bitvec.get act q
+      else match vecs.(q) with Some v -> Bitvec.get v bit | None -> false
+    in
+    if fired then s.cross <- s.cross + 1
+  done;
+  s.reports <- Nbva.reports e.nbva e.st
 
 (* ------------------------------------------------------------------ *)
 (* LNFA bins: Shift-And over the packed bin, regions mapped to tiles.   *)
@@ -383,52 +324,42 @@ let bin_step (e : bin_engine) c =
 
 (* ------------------------------------------------------------------ *)
 
-type t = E_nfa of nfa_engine | E_nbva of nbva_engine | E_bin of bin_engine
+type t = E_nbva of nbva_engine | E_bin of bin_engine
 
-let mode = function E_nfa _ -> M_nfa | E_nbva _ -> M_nbva | E_bin _ -> M_lnfa
-let of_nfa_unit ?(hint = Program.H_default) ~ast u = E_nfa (make_nfa_engine ~ast ~hint u)
-let of_nbva_unit ?(hint = Program.H_default) u = E_nbva (make_nbva_engine ~hint u)
+let mode = function E_nbva e -> e.mode | E_bin _ -> M_lnfa
+let of_nfa_unit ~ast u = E_nbva (make_nfa_engine ~ast u)
+let of_nbva_unit u = E_nbva (make_nbva_engine u)
 let of_bin b = E_bin (make_bin_engine b)
 
-let stepper_name t =
-  let of_stepper = function S_general -> "general" | S_word _ -> "word" | S_dfa _ -> "dfa" in
-  match t with
-  | E_nfa e -> of_stepper e.n_stepper
-  | E_nbva e -> of_stepper e.nb_stepper
+let stepper_name = function
+  | E_nbva { stepper = S_general; _ } -> "general"
+  | E_nbva { stepper = S_dfa _; _ } -> "dfa"
   | E_bin _ -> "shift-and"
 
-let dfa_stats t =
-  let of_stepper = function
-    | S_dfa r ->
-        let d = Dfa.cache r in
-        Some (Dfa.cached_states d, Dfa.fills d, Dfa.flushes d, Dfa.disabled d)
-    | S_general | S_word _ -> None
-  in
-  match t with
-  | E_nfa e -> of_stepper e.n_stepper
-  | E_nbva e -> of_stepper e.nb_stepper
-  | E_bin _ -> None
+let dfa_stats = function
+  | E_nbva { stepper = S_dfa r; _ } ->
+      let d = Dfa.cache r in
+      Some (Dfa.cached_states d, Dfa.fills d, Dfa.flushes d, Dfa.disabled d)
+  | E_nbva { stepper = S_general; _ } | E_bin _ -> None
 
 let reset_derived = function
-  | E_nfa e -> reset_stepper e.n_stepper
-  | E_nbva e -> reset_stepper e.nb_stepper
-  | E_bin _ -> ()
+  | E_nbva { stepper = S_dfa r; _ } ->
+      Dfa.reset (Dfa.cache r);
+      Dfa.invalidate r
+  | E_nbva { stepper = S_general; _ } | E_bin _ -> ()
 
-let stats_of = function E_nfa e -> e.n_stats | E_nbva e -> e.nb_stats | E_bin e -> e.b_stats
-
-let num_tiles = function
-  | E_nfa e -> Array.length e.u.Program.tile_states
-  | E_nbva e -> Array.length e.nu.Program.ntiles
-  | E_bin e -> e.bin.Binning.tiles
-
-let events = stats_of
+let events = function E_nbva e -> e.stats | E_bin e -> e.b_stats
+let num_tiles t = Array.length (events t).active
 
 let step t c =
-  (match t with
-  | E_nfa e -> nfa_step e c
-  | E_nbva e -> nbva_step e c
-  | E_bin e -> bin_step e c);
-  stats_of t
+  match t with
+  | E_nbva e ->
+      ignore (advance e.stepper e.nbva e.st c);
+      nbva_project e;
+      e.stats
+  | E_bin e ->
+      bin_step e c;
+      e.b_stats
 
 (* ------------------------------------------------------------------ *)
 (* SFA chunk-composition surface.  [step_kernel] advances only the
@@ -443,22 +374,15 @@ let step t c =
 
 let step_kernel t c =
   match t with
-  | E_nfa e -> ignore (advance e.n_stepper e.exec e.exec_st c)
-  | E_nbva e -> ignore (advance e.nb_stepper e.nu.Program.nbva e.nb_st c)
+  | E_nbva e -> ignore (advance e.stepper e.nbva e.st c)
   | E_bin e -> ignore (Shift_and.step e.sa e.sa_st c)
 
-let sfa_tables t =
-  match t with
-  | E_nfa e ->
-      Option.map
-        (fun (wt : Nbva.word_tables) ->
-          Sfa.linear ~n:wt.Nbva.wt_n ~labels:wt.Nbva.wt_labels ~succ:wt.Nbva.wt_succ)
-        (Nbva.word_tables e.exec)
+let sfa_tables = function
   | E_nbva e ->
       Option.map
         (fun (wt : Nbva.word_tables) ->
           Sfa.linear ~n:wt.Nbva.wt_n ~labels:wt.Nbva.wt_labels ~succ:wt.Nbva.wt_succ)
-        (Nbva.word_tables e.nu.Program.nbva)
+        (Nbva.word_tables e.nbva)
   | E_bin e ->
       Option.map
         (fun (wt : Shift_and.word_tables) ->
@@ -466,8 +390,7 @@ let sfa_tables t =
         (Shift_and.word_tables e.sa)
 
 let active_vector = function
-  | E_nfa e -> Nbva.outputs e.exec_st
-  | E_nbva e -> Nbva.outputs e.nb_st
+  | E_nbva e -> Nbva.outputs e.st
   | E_bin e -> Shift_and.state_vector e.sa_st
 
 let active_word t = Bitvec.get_word (active_vector t) 0
@@ -477,146 +400,34 @@ let semantic_zero t =
   Bitvec.is_zero (active_vector t)
   &&
   match t with
-  | E_bin _ -> true
-  | E_nfa e ->
-      Array.for_all
-        (function Some v -> Bitvec.is_zero v | None -> true)
-        (Nbva.vectors e.exec_st)
   | E_nbva e ->
-      Array.for_all
-        (function Some v -> Bitvec.is_zero v | None -> true)
-        (Nbva.vectors e.nb_st)
+      Array.for_all (function Some v -> Bitvec.is_zero v | None -> true) (Nbva.vectors e.st)
+  | E_bin _ -> true
 
 (* ------------------------------------------------------------------ *)
-(* Stream clones and packed multi-stream slots.  A clone shares every
-   immutable compiled structure (automata, exec plans, tile masks, cross
-   lists — all read-only after construction) and gets fresh run state and
-   a fresh stats record, so B streams against one placement pay the
-   compilation once.  [multi] packs the K clones of one engine so a
-   single call advances all of them; NBVA-backed engines go through the
-   phase-major {!Nbva.step_multi} kernel, sharing the per-byte labels
-   table and successor masks across streams in cache. *)
+(* Stream clones.  A clone shares every immutable compiled structure
+   (automata, exec plans, tile masks, cross lists — all read-only after
+   construction) and gets fresh run state, a fresh stepper and a fresh
+   stats record, so B streams against one placement pay the compilation
+   once. *)
 
 let clone_fresh = function
-  | E_nfa e ->
-      let exec_st = Nbva.start e.exec in
-      E_nfa
-        {
-          e with
-          exec_st;
-          n_stats = stats_create (Array.length e.n_stats.active);
-          n_stepper = make_stepper e.n_hint e.exec exec_st;
-        }
   | E_nbva e ->
-      let nb_st = Nbva.start e.nu.Program.nbva in
+      let st = Nbva.start e.nbva in
       E_nbva
         {
           e with
-          nb_st;
-          nb_stats = stats_create (Array.length e.nb_stats.active);
-          nb_stepper = make_stepper e.nb_hint e.nu.Program.nbva nb_st;
+          st;
+          stepper = make_stepper e.nbva st;
+          stats = stats_create (Array.length e.stats.active);
         }
   | E_bin e ->
       let b_arena, sa_st = make_bin_arena e.sa in
       E_bin { e with b_arena; sa_st; b_stats = stats_create e.bin.Binning.tiles }
 
-type multi =
-  | Mu_nfa of {
-      m_exec : Nbva.t;
-      m_engs : nfa_engine array;
-      m_sts : Nbva.run_state array;
-      m_hits : bool array;
-      m_steppers : stepper array;
-    }
-  | Mu_nbva of {
-      m_nbva : Nbva.t;
-      m_engs : nbva_engine array;
-      m_sts : Nbva.run_state array;
-      m_hits : bool array;
-      m_steppers : stepper array;
-    }
-  | Mu_bin of bin_engine array
-
-let multi_mismatch () = invalid_arg "Engine.multi: engines are not clones of one template"
-
-let multi es =
-  let k = Array.length es in
-  if k = 0 then invalid_arg "Engine.multi: empty slot";
-  match es.(0) with
-  | E_nfa e0 ->
-      let engs =
-        Array.map (function E_nfa e -> if e.exec != e0.exec then multi_mismatch (); e | _ -> multi_mismatch ()) es
-      in
-      Mu_nfa
-        {
-          m_exec = e0.exec;
-          m_engs = engs;
-          m_sts = Array.map (fun (e : nfa_engine) -> e.exec_st) engs;
-          m_hits = Array.make k false;
-          m_steppers = Array.map (fun (e : nfa_engine) -> e.n_stepper) engs;
-        }
-  | E_nbva e0 ->
-      let engs =
-        Array.map
-          (function
-            | E_nbva e -> if e.nu.Program.nbva != e0.nu.Program.nbva then multi_mismatch (); e
-            | _ -> multi_mismatch ())
-          es
-      in
-      Mu_nbva
-        {
-          m_nbva = e0.nu.Program.nbva;
-          m_engs = engs;
-          m_sts = Array.map (fun (e : nbva_engine) -> e.nb_st) engs;
-          m_hits = Array.make k false;
-          m_steppers = Array.map (fun (e : nbva_engine) -> e.nb_stepper) engs;
-        }
-  | E_bin e0 ->
-      Mu_bin
-        (Array.map
-           (function E_bin e -> if e.sa != e0.sa then multi_mismatch (); e | _ -> multi_mismatch ())
-           es)
-
-(* Bit-identity: [step_multi] leaves each stream's state exactly as a
-   per-stream [step] would, and the projections read only their own
-   engine — so after [multi_step m cs], [events es.(i)] is what
-   [step es.(i) cs.(i)] would have returned, for every i.  Shift-And
-   bins have no batched kernel (their state is one packed vector, no
-   shared mask tables to amortize) and simply step in stream order. *)
-(* Members of one slot are clones of one template, so they share a
-   stepper shape: when it is specialized (word kernel or DFA cache) the
-   per-stream specialized step beats the phase-major batched kernel —
-   the DFA's cached path touches no mask tables at all, and a
-   single-word automaton's tables are too small for cache amortization
-   to matter.  Under the [Reference] selector [advance] already degrades
-   to per-stream reference stepping, matching [step_multi_selected]. *)
-let multi_advance steppers exec sts cs hits =
-  match steppers.(0) with
-  | (S_word _ | S_dfa _) when !Nbva.kernel = Nbva.Bit_parallel ->
-      Array.iteri (fun i st -> hits.(i) <- advance steppers.(i) exec st cs.(i)) sts
-  | S_general | S_word _ | S_dfa _ -> Nbva.step_multi_selected exec sts cs hits
-
-let multi_step m cs =
-  match m with
-  | Mu_nfa { m_exec; m_engs; m_sts; m_hits; m_steppers } ->
-      multi_advance m_steppers m_exec m_sts cs m_hits;
-      Array.iter nfa_project m_engs
-  | Mu_nbva { m_nbva; m_engs; m_sts; m_hits; m_steppers } ->
-      multi_advance m_steppers m_nbva m_sts cs m_hits;
-      Array.iter nbva_project m_engs
-  | Mu_bin engs -> Array.iteri (fun i e -> bin_step e cs.(i)) engs
-
-let tile_static_cols t i =
-  match t with
-  | E_nfa e -> e.static_cols.(i)
-  | E_nbva e -> e.nb_static_cols.(i)
-  | E_bin e -> e.b_static_cols.(i)
-
-let tile_bv_cols t i =
-  match t with E_nfa _ -> 0 | E_nbva e -> e.nb_bv_cols.(i) | E_bin _ -> 0
-
-let max_bv_size = function E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nb_max_bv
-let bv_depth = function E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nu.Program.depth
+let tile_bv_cols t i = match t with E_nbva e -> e.bv_cols.(i) | E_bin _ -> 0
+let max_bv_size = function E_nbva e -> e.max_bv | E_bin _ -> 0
+let bv_depth = function E_nbva e -> e.depth | E_bin _ -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Transient-fault surface: every state bit the hardware stores between
@@ -625,47 +436,48 @@ let bv_depth = function E_nfa _ | E_bin _ -> 0 | E_nbva e -> e.nu.Program.depth
    packed Shift-And state vector.  Flipping an active bit corrupts the
    availability seen by successors at the next symbol; flipping a BV bit
    corrupts the repetition counter — exactly the soft-error modes of the
-   8T-SRAM CAM cells and BV words. *)
+   8T-SRAM CAM cells and BV words.
 
-(* The flippable surface is the active vector plus every *materialized*
-   BV word: [nbva_flip] walks [Nbva.vectors], which holds [Some] only for
+   The flippable surface is the active vector plus every *materialized*
+   BV word: the flip walks [Nbva.vectors], which holds [Some] only for
    BV-STEs, so counting [Nbva.total_bv_bits] (a static property of the
    automaton) would overcount whenever a vector is not materialized and a
    valid index could then raise [Invalid_argument] mid-campaign.  Count
    exactly the words the walk can reach. *)
-let nbva_bits nbva st =
-  Array.fold_left
-    (fun acc v -> match v with Some v -> acc + Bitvec.width v | None -> acc)
-    (Nbva.num_states nbva) (Nbva.vectors st)
-
-let nbva_flip nbva st i =
-  let n = Nbva.num_states nbva in
-  if i < n then begin
-    let act = Nbva.outputs st in
-    if Bitvec.get act i then Bitvec.reset act i else Bitvec.set act i
-  end
-  else begin
-    let rest = ref (i - n) in
-    let flipped = ref false in
-    Array.iter
-      (fun v ->
-        match v with
-        | Some v when not !flipped ->
-            let w = Bitvec.width v in
-            if !rest < w then begin
-              (if Bitvec.get v !rest then Bitvec.reset v !rest else Bitvec.set v !rest);
-              flipped := true
-            end
-            else rest := !rest - w
-        | Some _ | None -> ())
-      (Nbva.vectors st);
-    if not !flipped then invalid_arg "Engine.flip_state_bit: index out of range"
-  end
 
 let state_bits = function
-  | E_nfa e -> nbva_bits e.exec e.exec_st
-  | E_nbva e -> nbva_bits e.nu.Program.nbva e.nb_st
+  | E_nbva e ->
+      Array.fold_left
+        (fun acc v -> match v with Some v -> acc + Bitvec.width v | None -> acc)
+        (Nbva.num_states e.nbva) (Nbva.vectors e.st)
   | E_bin e -> Bitvec.width (Shift_and.state_vector e.sa_st)
+
+let flip_bit v i = if Bitvec.get v i then Bitvec.reset v i else Bitvec.set v i
+
+let flip_state_bit t i =
+  if i < 0 || i >= state_bits t then invalid_arg "Engine.flip_state_bit: index out of range";
+  match t with
+  | E_nbva e ->
+      let n = Nbva.num_states e.nbva in
+      if i < n then flip_bit (Nbva.outputs e.st) i
+      else begin
+        let rest = ref (i - n) in
+        let flipped = ref false in
+        Array.iter
+          (fun v ->
+            match v with
+            | Some v when not !flipped ->
+                let w = Bitvec.width v in
+                if !rest < w then begin
+                  flip_bit v !rest;
+                  flipped := true
+                end
+                else rest := !rest - w
+            | Some _ | None -> ())
+          (Nbva.vectors e.st);
+        if not !flipped then invalid_arg "Engine.flip_state_bit: index out of range"
+      end
+  | E_bin e -> flip_bit (Shift_and.state_vector e.sa_st) i
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore: exactly the inter-symbol surface above, as copies.
@@ -680,37 +492,39 @@ type snapshot = Bitvec.t array
 
 let restore_mismatch () = invalid_arg "Engine.restore: snapshot does not match this engine"
 
-let nbva_snapshot st =
-  let acc = ref [ Bitvec.copy (Nbva.outputs st) ] in
-  Array.iter
-    (function Some v -> acc := Bitvec.copy v :: !acc | None -> ())
-    (Nbva.vectors st);
-  Array.of_list (List.rev !acc)
+let snapshot = function
+  | E_nbva e ->
+      let acc = ref [ Bitvec.copy (Nbva.outputs e.st) ] in
+      Array.iter
+        (function Some v -> acc := Bitvec.copy v :: !acc | None -> ())
+        (Nbva.vectors e.st);
+      Array.of_list (List.rev !acc)
+  | E_bin e -> [| Bitvec.copy (Shift_and.state_vector e.sa_st) |]
 
-let nbva_restore st snap =
-  let vecs = Nbva.vectors st in
-  let materialized =
-    Array.fold_left (fun acc v -> match v with Some _ -> acc + 1 | None -> acc) 0 vecs
-  in
-  if Array.length snap <> 1 + materialized then restore_mismatch ();
+let restore t snap =
   let blit src dst =
     if Bitvec.width src <> Bitvec.width dst then restore_mismatch ();
     Bitvec.blit ~src ~dst
   in
-  blit snap.(0) (Nbva.outputs st);
-  let k = ref 1 in
-  Array.iter
-    (function
-      | Some v ->
-          blit snap.(!k) v;
-          incr k
-      | None -> ())
-    vecs
-
-let snapshot = function
-  | E_nfa e -> nbva_snapshot e.exec_st
-  | E_nbva e -> nbva_snapshot e.nb_st
-  | E_bin e -> [| Bitvec.copy (Shift_and.state_vector e.sa_st) |]
+  match t with
+  | E_nbva e ->
+      let vecs = Nbva.vectors e.st in
+      let materialized =
+        Array.fold_left (fun acc v -> match v with Some _ -> acc + 1 | None -> acc) 0 vecs
+      in
+      if Array.length snap <> 1 + materialized then restore_mismatch ();
+      blit snap.(0) (Nbva.outputs e.st);
+      let k = ref 1 in
+      Array.iter
+        (function
+          | Some v ->
+              blit snap.(!k) v;
+              incr k
+          | None -> ())
+        vecs
+  | E_bin e ->
+      if Array.length snap <> 1 then restore_mismatch ();
+      blit snap.(0) (Shift_and.state_vector e.sa_st)
 
 (* Flat snapshots: each engine's run state lives in one arena (NBVA
    executors allocate theirs in [Nbva.start], bins in [make_bin_engine]),
@@ -720,36 +534,13 @@ let snapshot = function
    cloning; checkpoints keep the representation-independent {!snapshot}
    (width-prefixed vector bytes) for their on-disk format. *)
 
-let run_arena = function
-  | E_nfa e -> Nbva.run_arena e.exec_st
-  | E_nbva e -> Nbva.run_arena e.nb_st
-  | E_bin e -> e.b_arena
-
+let run_arena = function E_nbva e -> Nbva.run_arena e.st | E_bin e -> e.b_arena
 let state_words t = Arena.used (run_arena t)
 let snapshot_flat t = Arena.snapshot (run_arena t)
 
 let restore_flat t snap =
   try Arena.restore (run_arena t) snap
   with Invalid_argument _ -> restore_mismatch ()
-
-let restore t snap =
-  match t with
-  | E_nfa e -> nbva_restore e.exec_st snap
-  | E_nbva e -> nbva_restore e.nb_st snap
-  | E_bin e ->
-      if Array.length snap <> 1 then restore_mismatch ();
-      let v = Shift_and.state_vector e.sa_st in
-      if Bitvec.width snap.(0) <> Bitvec.width v then restore_mismatch ();
-      Bitvec.blit ~src:snap.(0) ~dst:v
-
-let flip_state_bit t i =
-  if i < 0 || i >= state_bits t then invalid_arg "Engine.flip_state_bit: index out of range";
-  match t with
-  | E_nfa e -> nbva_flip e.exec e.exec_st i
-  | E_nbva e -> nbva_flip e.nu.Program.nbva e.nb_st i
-  | E_bin e ->
-      let v = Shift_and.state_vector e.sa_st in
-      if Bitvec.get v i then Bitvec.reset v i else Bitvec.set v i
 
 (* ------------------------------------------------------------------ *)
 (* Integrity surface: the immutable compiled regions the kernels read
@@ -773,19 +564,15 @@ type region =
 let region_name = function
   | R_words (n, _) | R_bytes (n, _) | R_vecs (n, _) -> n
 
-let nbva_regions nbva =
-  List.map (fun (n, a) -> R_words (n, a)) (Nbva.plan_tables nbva)
-  @ List.map (fun (n, b) -> R_bytes (n, b)) (Nbva.plan_bytes nbva)
-
 let immutable_regions = function
-  | E_nfa e -> nbva_regions e.exec
-  | E_nbva e -> nbva_regions e.nu.Program.nbva
+  | E_nbva e ->
+      List.map (fun (n, a) -> R_words (n, a)) (Nbva.plan_tables e.nbva)
+      @ List.map (fun (n, b) -> R_bytes (n, b)) (Nbva.plan_bytes e.nbva)
   | E_bin e -> List.map (fun (n, vs) -> R_vecs (n, vs)) (Shift_and.tables e.sa)
 
 let step_shadow t c =
   match t with
-  | E_nfa e -> ignore (Nbva.step_reference e.exec e.exec_st c)
-  | E_nbva e -> ignore (Nbva.step_reference e.nu.Program.nbva e.nb_st c)
+  | E_nbva e -> ignore (Nbva.step_reference e.nbva e.st c)
   | E_bin e -> ignore (Shift_and.step e.sa e.sa_st c)
 
 (* Rolling digest of the semantic inter-symbol state — the same vectors
@@ -807,35 +594,30 @@ let digest_vec acc v =
   done;
   !acc
 
-let nbva_state_digest st acc =
-  let acc = digest_vec acc (Nbva.outputs st) in
-  Array.fold_left
-    (fun acc v -> match v with None -> digest_mix acc (-1) | Some v -> digest_vec acc v)
-    acc (Nbva.vectors st)
-
 let state_digest t acc =
   match t with
-  | E_nfa e -> nbva_state_digest e.exec_st acc
-  | E_nbva e -> nbva_state_digest e.nb_st acc
+  | E_nbva e ->
+      Array.fold_left
+        (fun acc v -> match v with None -> digest_mix acc (-1) | Some v -> digest_vec acc v)
+        (digest_vec acc (Nbva.outputs e.st))
+        (Nbva.vectors e.st)
   | E_bin e -> digest_vec acc (Shift_and.state_vector e.sa_st)
-
-let nbva_state_equal a b =
-  Bitvec.equal (Nbva.outputs a) (Nbva.outputs b)
-  && Array.for_all2
-       (fun v w ->
-         match (v, w) with
-         | Some v, Some w -> Bitvec.equal v w
-         | None, None -> true
-         | Some _, None | None, Some _ -> false)
-       (Nbva.vectors a) (Nbva.vectors b)
 
 let state_equal a b =
   match (a, b) with
-  | E_nfa x, E_nfa y -> nbva_state_equal x.exec_st y.exec_st
-  | E_nbva x, E_nbva y -> nbva_state_equal x.nb_st y.nb_st
+  | E_nbva x, E_nbva y ->
+      x.mode = y.mode
+      && Bitvec.equal (Nbva.outputs x.st) (Nbva.outputs y.st)
+      && Array.for_all2
+           (fun v w ->
+             match (v, w) with
+             | Some v, Some w -> Bitvec.equal v w
+             | None, None -> true
+             | Some _, None | None, Some _ -> false)
+           (Nbva.vectors x.st) (Nbva.vectors y.st)
   | E_bin x, E_bin y ->
       Bitvec.equal (Shift_and.state_vector x.sa_st) (Shift_and.state_vector y.sa_st)
-  | _ -> false
+  | E_nbva _, E_bin _ | E_bin _, E_nbva _ -> false
 
 let guards_ok t = Arena.guards_ok (run_arena t)
 let rearm_guards t = Arena.rearm_guards (run_arena t)

@@ -22,24 +22,22 @@ val num_tiles : t -> int
 
 (** {1 Construction} *)
 
-val of_nfa_unit : ?hint:Program.exec_hint -> ast:Ast.t -> Program.nfa_unit -> t
-val of_nbva_unit : ?hint:Program.exec_hint -> Program.nbva_unit -> t
+val of_nfa_unit : ast:Ast.t -> Program.nfa_unit -> t
+val of_nbva_unit : Program.nbva_unit -> t
 val of_bin : Binning.bin -> t
 
-(** {1 Per-placement stepper specialization}
+(** {1 Stepper choice}
 
-    NBVA-backed engines pick the cheapest bit-identical kernel at
-    construction, steered by the compiled unit's {!Program.exec_hint}:
-    an [H_dfa] hint (and structural eligibility — no BV-STEs) attaches a
-    lazy-DFA transition cache ({!Dfa}); otherwise placements whose whole
-    state is one active word get the fused single-word kernel
-    ({!Nbva.step_word}), and everything else the flat bit-parallel
-    kernel.  The choice is invisible in every observable — activation
-    words, hits, events, digests, snapshots — and the [Nbva.kernel]
-    reference selector overrides all specialized paths. *)
+    The engine alone decides how an NBVA-backed automaton (NFA and NBVA
+    units alike) is stepped, from the automaton alone: a lazy-DFA
+    transition cache ({!Dfa}) when [Dfa.create] accepts it — no
+    BV-STEs, at most 64 states — and the general bit-parallel kernel
+    ({!Nbva.step}) otherwise.  The choice is invisible in every
+    observable — activation words, hits, events, digests, snapshots —
+    and the [Nbva.kernel] reference selector overrides both. *)
 
 val stepper_name : t -> string
-(** ["dfa"], ["word"], ["general"], or ["shift-and"] (bins). *)
+(** ["dfa"], ["general"], or ["shift-and"] (bins). *)
 
 val dfa_stats : t -> (int * int * int * bool) option
 (** [(cached_states, fills, flushes, disabled)] of the DFA cache, when
@@ -116,40 +114,19 @@ val semantic_zero : t -> bool
     zero and every materialized BV vector zero.  Scratch words are
     ignored — they are overwritten by the next step. *)
 
-(** {1 Stream clones and batched stepping}
+(** {1 Stream clones}
 
     One compiled placement can serve many independent input streams:
     a clone shares every immutable compiled structure (automata, mask
-    tables, tile maps) with its template and carries fresh run state and
-    statistics, so B streams pay compilation once.  Clones of one
-    template can then be packed into a {!multi} slot and advanced
-    together — NBVA-backed engines go through the phase-major
-    {!Nbva.step_multi} kernel, which shares the per-byte labels table
-    and successor-mask unions across streams in cache. *)
+    tables, tile maps) with its template and carries fresh run state,
+    stepper and statistics, so B streams pay compilation once. *)
 
 val clone_fresh : t -> t
 (** A fresh-state clone: same compiled automaton and tile projection
     (physically shared), run state and event record reset to the start
     of input. *)
 
-type multi
-(** K clones of one engine, packed for batched stepping. *)
-
-val multi : t array -> multi
-(** Pack clones of one template (see {!clone_fresh}); raises
-    [Invalid_argument] when the engines do not share one compiled
-    automaton or the array is empty. *)
-
-val multi_step : multi -> char array -> unit
-(** [multi_step m cs] advances clone [i] by symbol [cs.(i)] for every
-    [i]; [cs] may be longer than the slot.  Afterwards [events] of
-    clone [i] holds exactly what [step clone_i cs.(i)] would have
-    produced — batched stepping is bit-identical per stream. *)
-
 (** {1 Static per-tile facts} *)
-
-val tile_static_cols : t -> int -> int
-(** Programmed columns (for area/utilisation). *)
 
 val tile_bv_cols : t -> int -> int
 val max_bv_size : t -> int

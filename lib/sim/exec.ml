@@ -33,9 +33,8 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
                   engine_of_key (`Unit unit_id) (fun () ->
                       let c = p.Mapper.units.(unit_id) in
                       match c.Program.kind with
-                      | Program.U_nfa u ->
-                          Engine.of_nfa_unit ~hint:c.Program.hint ~ast:c.Program.ast u
-                      | Program.U_nbva u -> Engine.of_nbva_unit ~hint:c.Program.hint u
+                      | Program.U_nfa u -> Engine.of_nfa_unit ~ast:c.Program.ast u
+                      | Program.U_nbva u -> Engine.of_nbva_unit u
                       | Program.U_lnfa _ -> assert false)
                 in
                 (e, local_tile)
@@ -67,7 +66,6 @@ let build (p : Mapper.placement) (tiles : Mapper.placed_tile array) =
 
 let engines t = t.engines
 let tile_modes t = t.tile_modes
-let num_tiles t = Array.length t.tile_pieces
 
 let snapshot t = Array.map Engine.snapshot t.engines
 
@@ -103,11 +101,7 @@ type array_events = {
 }
 
 (* Assembly reads only the engines' refreshed event records ([step]
-   returns the same physical records held in [last_events]), so it is
-   split from the advance: single-stream [step] advances this context's
-   engines and assembles; [group_step] advances K stream-clones
-   phase-major and assembles each member with the same code — the
-   per-stream [array_events] values are identical either way. *)
+   returns the same physical records held in [last_events]). *)
 let assemble (arch : Arch.t) t ~sym c =
   let cross = ref 0 and reports = ref 0 and stall = ref 0 in
   let phases = ref [] in
@@ -177,12 +171,9 @@ let step arch t ~sym c =
   Array.iter (fun e -> ignore (Engine.step e c)) t.engines;
   assemble arch t ~sym c
 
-(* ------------------------------------------------------------------ *)
-(* Stream groups: K fresh-state clones of one array context, stepped in
-   lockstep.  All compiled structure (engines' automata and masks, the
-   tile resolution) is shared with the template; only run state and
-   event records are per-clone. *)
-
+(* A clone shares all compiled structure (engines' automata and masks,
+   the tile resolution) with the template; only run state and event
+   records are per-clone. *)
 let clone_fresh t =
   let engines = Array.map Engine.clone_fresh t.engines in
   {
@@ -192,29 +183,6 @@ let clone_fresh t =
     tile_modes = t.tile_modes;
     sfa = t.sfa;
   }
-
-type group = {
-  g_members : t array;
-  g_multis : Engine.multi array;  (* per engine slot, across members *)
-}
-
-let group_of_members members =
-  let k = Array.length members in
-  if k = 0 then invalid_arg "Exec.group_of_members: empty group";
-  let n_eng = Array.length members.(0).engines in
-  if not (Array.for_all (fun m -> Array.length m.engines = n_eng) members) then
-    invalid_arg "Exec.group_of_members: members are not clones of one context";
-  {
-    g_members = members;
-    g_multis = Array.init n_eng (fun j -> Engine.multi (Array.map (fun m -> m.engines.(j)) members));
-  }
-
-let group t k = group_of_members (Array.init k (fun _ -> clone_fresh t))
-let members g = g.g_members
-
-let group_step arch g ~syms cs =
-  Array.iter (fun m -> Engine.multi_step m cs) g.g_multis;
-  Array.mapi (fun i t -> assemble arch t ~sym:syms.(i) cs.(i)) g.g_members
 
 (* ------------------------------------------------------------------ *)
 (* Intra-stream parallelism: Simultaneous-FA chunk composition.

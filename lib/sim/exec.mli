@@ -12,13 +12,16 @@ type t
 
 val build : Mapper.placement -> Mapper.placed_tile array -> t
 
+val clone_fresh : t -> t
+(** A clone sharing all compiled structure with fresh run state —
+    equivalent to [build] on the same placement without recompiling. *)
+
 val engines : t -> Engine.t array
 (** The transient-fault surface: sinks may flip stored state bits here
     ({!Engine.flip_state_bit}) but must not read per-tile statistics —
     those arrive through {!array_events}. *)
 
 val tile_modes : t -> Engine.mode array
-val num_tiles : t -> int
 
 val snapshot : t -> Engine.snapshot array
 (** Per-engine state copies, in engine order — the whole mutable surface
@@ -104,34 +107,3 @@ val run_chunks :
     symbols in every phase.  On return [t] holds the end-of-input state,
     exactly as after serial stepping.  Buffering transiently holds one
     {!array_events} per symbol of [chunks]. *)
-
-(** {1 Stream groups}
-
-    Batched multi-stream execution: K fresh-state clones of one array
-    context advance in lockstep, engine-major — each engine slot packs
-    its K clones into one {!Engine.multi} so NBVA mask tables are shared
-    across streams in cache.  Per-stream results are bit-identical to
-    stepping each clone alone: [group_step] produces for member [i]
-    exactly the {!array_events} that [step] on that member would. *)
-
-val clone_fresh : t -> t
-(** A clone sharing all compiled structure with fresh run state —
-    equivalent to [build] on the same placement without recompiling. *)
-
-type group
-
-val group : t -> int -> group
-(** [group t k] packs [k] fresh clones of [t] (the template itself is
-    not a member and stays pristine). *)
-
-val group_of_members : t array -> group
-(** Pack existing clones of one context — used to shrink a group when a
-    stream ends.  Raises [Invalid_argument] on an empty array or
-    members that are not clones of one context. *)
-
-val members : group -> t array
-
-val group_step : Arch.t -> group -> syms:int array -> char array -> array_events array
-(** Advance member [i] by symbol [cs.(i)] at input offset [syms.(i)];
-    both arrays may be longer than the group.  Result [i] is member
-    [i]'s events. *)

@@ -78,7 +78,6 @@ let of_file ?chunk ?(mmap = true) path =
 let of_stdin ?chunk () = make ?chunk (Src_channel { ic = stdin; seekable = false }) None
 let length t = t.len
 let pos t = t.position
-let chunk_size t = t.chunk
 let is_mmap t = match t.source with Src_mmap _ -> true | Src_string _ | Src_channel _ -> false
 
 let next t =

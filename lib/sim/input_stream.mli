@@ -42,8 +42,6 @@ val length : t -> int option
 val pos : t -> int
 (** Absolute offset of the next byte {!next} will deliver. *)
 
-val chunk_size : t -> int
-
 val is_mmap : t -> bool
 (** [true] when the stream reads from a memory mapping (the {!of_file}
     fast path was taken). *)

@@ -49,13 +49,7 @@ let compile_for (arch : Arch.t) ~params regexes =
           match Nfa_compile.compile ast with
           | u ->
               if Nfa_compile.fits_array u then
-                push source
-                  {
-                    Program.source;
-                    ast;
-                    kind = Program.U_nfa u;
-                    hint = Mode_select.decide_exec ~params ast;
-                  }
+                push source { Program.source; ast; kind = Program.U_nfa u }
               else
                 fail source
                   (Compile_error.Oversize
@@ -70,14 +64,7 @@ let compile_for (arch : Arch.t) ~params regexes =
               ~col_demand:(fun _ -> 1)
               ast
           with
-          | u ->
-              push source
-                {
-                  Program.source;
-                  ast;
-                  kind = Program.U_nfa u;
-                  hint = Mode_select.decide_exec ~params ast;
-                }
+          | u -> push source { Program.source; ast; kind = Program.U_nfa u }
           | exception Invalid_argument msg -> unsupported source msg)
       | Arch.Bvap -> (
           let wants_bv =
@@ -85,10 +72,9 @@ let compile_for (arch : Arch.t) ~params regexes =
               (Rewrite.unfold_for_nbva ~threshold:params.Program.unfold_threshold ast)
           in
           match
-            let hint = Mode_select.decide_exec ~params ast in
             if wants_bv then
-              Program.{ source; ast; kind = U_nbva (Nbva_compile.compile_bvap ~params ast); hint }
-            else Program.{ source; ast; kind = U_nfa (Nfa_compile.compile ast); hint }
+              Program.{ source; ast; kind = U_nbva (Nbva_compile.compile_bvap ~params ast) }
+            else Program.{ source; ast; kind = U_nfa (Nfa_compile.compile ast) }
           with
           | c -> push source c
           | exception Invalid_argument msg -> unsupported source msg))

@@ -133,8 +133,9 @@ let test_batch_beats_sequential () =
     (b.Batch.aggregate.Batch.agg_throughput_gchs >= 2. *. seq_gchs)
 
 let test_batch_kernel_agreement () =
-  (* the batched NBVA kernel and the scalar reference must agree through
-     the whole stack, like the single-stream differential gate *)
+  (* the batch path under the specialized NBVA steppers and under the
+     scalar reference must agree through the whole stack, like the
+     single-stream differential gate *)
   let p = placement () in
   let inputs = [ "abbbc evilxsig xyzzzw"; "baaaaaaab wget http"; "" ] in
   let with_kernel k f =

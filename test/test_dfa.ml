@@ -5,7 +5,8 @@
    blown-cache fallback, and external mutation of the run state between
    steps (restore, rollback, fault injection), which the verify-on-step
    resync must absorb without generation counters.  A full-stack section
-   proves the specialized stepper actually engages behind Runner and
+   proves the engine's own stepper rule picks the DFA exactly for the
+   automata [Dfa.create] accepts, that it engages behind Runner, and
    stays bit-identical across --jobs/--intra-jobs schedules, the
    reference kernel, and a mid-stream checkpoint/resume whose resumed
    process starts with a cold transition cache. *)
@@ -23,7 +24,7 @@ let compile_flat src = Nbva.compile ~threshold:100 (parse src)
 let dfa_of ?max_states t =
   match Dfa.create ?max_states t with
   | Some d -> d
-  | None -> fail "automaton unexpectedly carries BV-STEs"
+  | None -> fail "automaton unexpectedly ineligible (BV-STEs or more than 64 states)"
 
 (* One lockstep run; [mutate] fires after every symbol and may perturb
    both run states (identically), modelling external writes the DFA
@@ -57,10 +58,20 @@ let test_directed_cases () =
       ("hello|help|held", "hellohelpheldhel held");
       ("ab{2,5}c", "abc abbc abbbbbc abbbbbbc xabbbc");
       ("x{40}y", String.make 45 'x' ^ "y" ^ String.make 40 'x' ^ "y");
-      (* >62 states exercises multi-word interned sets *)
-      ( String.concat "|" (List.init 24 (fun i -> Printf.sprintf "w%02drd" i)),
-        "w03rd xx w17rd w23rd w00rd" );
+      (* 64 states: past one 62-bit word, so interned sets span two *)
+      ( String.concat "|" (List.init 16 (fun i -> Printf.sprintf "w%02dr" i)),
+        "w03r xx w15r w11r w00r" );
     ]
+
+(* Eligibility is a property of the automaton alone: no BV-STEs and at
+   most 64 states. *)
+let test_eligibility () =
+  let words k = String.concat "|" (List.init k (fun i -> Printf.sprintf "w%02dr" i)) in
+  check int "16 words = 64 states" 64 (Nbva.num_states (compile_flat (words 16)));
+  check bool "64 states: eligible" true (Option.is_some (Dfa.create (compile_flat (words 16))));
+  check bool "68 states: ineligible" true (Option.is_none (Dfa.create (compile_flat (words 17))));
+  check bool "BV-STEs: ineligible" true
+    (Option.is_none (Dfa.create (Nbva.compile ~threshold:2 (parse "x[ab]{5,30}y"))))
 
 (* A pseudorandom input over a small alphabet, deterministic per seed. *)
 let pseudo_input ~seed ~len ~alphabet =
@@ -132,7 +143,7 @@ let prop_dfa_equals_reference =
     QCheck2.Gen.(pair (pair (Gen.gen_ast ~max_bound:6 ()) Gen.gen_input) (int_range 2 5))
     (fun ((r, input), max_states) ->
       let t = Nbva.compile ~threshold:100 r in
-      QCheck2.assume (Nbva.num_bv_stes t = 0);
+      QCheck2.assume (Nbva.num_bv_stes t = 0 && Nbva.num_states t <= 64);
       lockstep ~max_states t input)
 
 (* ------------------------------------------------------------------ *)
@@ -167,9 +178,18 @@ let check_reports_equal label (a : Runner.report) (b : Runner.report) =
         (Energy.get_pj b.Runner.energy cat))
     Energy.all_categories
 
-(* The mode-selection hint really reaches the engines, the engines
-   really run the DFA stepper, and the transition cache really fills. *)
+(* The engine picks its stepper from the automaton alone: a small
+   BV-free NFA unit gets the DFA, an NBVA unit carrying a BV-STE the
+   general kernel.  Behind Runner, the engines really run the DFA
+   stepper and its transition cache really fills. *)
 let test_stepper_engages () =
+  let nfa_unit = Engine.of_nfa_unit ~ast:(parse "ab|cd") (Nfa_compile.compile (parse "ab|cd")) in
+  check string "small BV-free NFA unit" "dfa" (Engine.stepper_name nfa_unit);
+  let bv = parse "x[ab]{5,30}y" in
+  let nbva_unit = Engine.of_nbva_unit (Nbva_compile.compile ~params bv) in
+  check string "NBVA unit with a BV-STE" "general" (Engine.stepper_name nbva_unit);
+  check bool "the general stepper keeps no DFA cache" true
+    (Option.is_none (Engine.dfa_stats nbva_unit));
   let p = dfa_placement () in
   let input = stack_input () in
   let engaged = ref false in
@@ -181,10 +201,16 @@ let test_stepper_engages () =
         (fun e ->
           if Engine.stepper_name e = "dfa" then begin
             match Engine.dfa_stats e with
-            | Some (cached, fills, _, disabled) ->
+            | Some (cached, fills, _, disabled) -> (
                 check bool "cache filled" true (cached > 0 && fills > 0);
-                check bool "not disabled" false disabled;
-                engaged := true
+                engaged := true;
+                (* the default bound holds this workload's whole subset
+                   space; a bound forced through RAP_DFA_CACHE (the CI
+                   pressure smoke sets 2) may legitimately blow, but the
+                   cache never outgrows it *)
+                match Option.bind (Sys.getenv_opt "RAP_DFA_CACHE") int_of_string_opt with
+                | None -> check bool "not disabled" false disabled
+                | Some bound -> check bool "cache within its bound" true (cached <= max 2 bound))
             | None -> fail "dfa stepper without stats"
           end)
         (Exec.engines ex))
@@ -254,6 +280,7 @@ let test_checkpoint_resume_cold_cache () =
 let suite =
   [
     test_case "directed lockstep vs reference" `Quick test_directed_cases;
+    test_case "eligibility: no BV-STEs, at most 64 states" `Quick test_eligibility;
     test_case "cache pressure, flush budget, blown fallback" `Quick test_cache_pressure_fallback;
     test_case "external mutation resyncs the cursor" `Quick test_external_mutation_resync;
     QCheck_alcotest.to_alcotest prop_dfa_equals_reference;
